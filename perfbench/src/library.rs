@@ -19,7 +19,7 @@ use pact_ir::logic::Logic;
 use crate::measure::{self, HostTicks};
 use crate::reference::{self, Verdict};
 use crate::trace::{traced_factory, CellCounter, OracleTrace, TraceSink};
-use crate::{Metric, RunReport, SETUP_REPS};
+use crate::{Metric, RunReport, CONTENDED};
 
 /// The six Table I logics, in the paper's row order.
 pub const LOGICS: [Logic; 6] = [
@@ -34,9 +34,6 @@ pub const LOGICS: [Logic; 6] = [
 /// A count that runs longer than this is cancelled and counted as failed.
 /// The slowest count of either pool takes under half a second.
 pub const HANG_GUARD: Duration = Duration::from_secs(30);
-
-/// The quantile of a count's repetitions taken as its cost.
-const CONTENDED: f64 = 0.9;
 
 /// Outer iterations of every count: enough rounds for a median, few enough
 /// that a pass over the pool stays within a few seconds.
@@ -221,7 +218,12 @@ pub struct Passes {
 /// Runs whole passes of `ops` over `sessions`, at least one and then more
 /// until `seconds` have passed, with a watchdog cancelling any count that
 /// outlives [`HANG_GUARD`].
-pub fn run_passes(sessions: &mut [Session], ops: &[Op], seconds: f64) -> Passes {
+pub fn run_passes(
+    sessions: &mut [Session],
+    ops: &[Op],
+    seconds: f64,
+    between_passes: &mut dyn FnMut(),
+) -> Passes {
     let current: Mutex<Option<(Instant, CancellationToken)>> = Mutex::new(None);
     let stop = AtomicBool::new(false);
     let mut done = Vec::new();
@@ -264,6 +266,7 @@ pub fn run_passes(sessions: &mut [Session], ops: &[Op], seconds: f64) -> Passes 
             if start.elapsed().as_secs_f64() >= seconds {
                 break;
             }
+            between_passes();
         }
         stop.store(true, Ordering::SeqCst);
     });
@@ -322,7 +325,7 @@ pub fn traced_pass(pool: &Pool) -> ExactWork {
     let cells = Arc::new(CellCounter::default());
     let mut sessions = sessions(pool, Some(&cells));
     let ops = traced_ops(pool, &sink);
-    let passes = run_passes(&mut sessions, &ops, 0.0);
+    let passes = run_passes(&mut sessions, &ops, 0.0, &mut || {});
     let oracle_calls = passes.done.iter().map(|d| d.oracle_calls).sum();
     let trace = sink.lock().expect("trace sink").clone();
     ExactWork::per_pass(
@@ -347,17 +350,17 @@ fn traced_ops(pool: &Pool, sink: &TraceSink) -> Vec<Op> {
 /// Runs a library workload for `seconds` and checks every answer against
 /// an enumeration of the instance.
 pub fn run(kind: Library, seed: u64, seconds: f64, traced: bool) -> RunReport {
-    // Set-up: generate the pool and build its sessions, several times.
-    let mut setups = Vec::new();
-    let mut built = None;
-    for _ in 0..SETUP_REPS {
+    // Set-up: generate the pool and build its sessions, once before the
+    // timed phase and again between its passes, so the set-ups sample the
+    // same host states as the counts.
+    let setup = || {
         let start = Instant::now();
         let pool = pool(kind, &kind.shapes(), seed);
         let sessions = sessions(&pool, None);
-        setups.push(start.elapsed().as_secs_f64());
-        built = Some((pool, sessions));
-    }
-    let (pool, mut sessions) = built.expect("SETUP_REPS > 0");
+        (start.elapsed().as_secs_f64(), pool, sessions)
+    };
+    let (first, pool, mut sessions) = setup();
+    let mut setups = vec![first];
 
     let sink = TraceSink::default();
     let cells = Arc::new(CellCounter::default());
@@ -370,7 +373,7 @@ pub fn run(kind: Library, seed: u64, seconds: f64, traced: bool) -> RunReport {
 
     let host = HostTicks::now();
     let cpu = measure::thread_cpu_seconds();
-    let passes = run_passes(&mut sessions, &ops, seconds);
+    let passes = run_passes(&mut sessions, &ops, seconds, &mut || setups.push(setup().0));
     let cpu_share = (measure::thread_cpu_seconds() - cpu) / passes.elapsed;
     let steal = HostTicks::now().steal_share_since(&host);
     let peak_rss_mb = measure::peak_rss_mb("self");

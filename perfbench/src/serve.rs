@@ -337,6 +337,11 @@ pub fn run(bin: &Path, seed: u64, seconds: f64, traced: bool) -> io::Result<RunR
     let steal = HostTicks::now().steal_share_since(&host);
     let peak_rss_mb = measure::peak_rss_mb(&pid.to_string());
     Server::close(server);
+    for _ in 0..SETUP_REPS {
+        let (again, setup) = start_server(bin, &scripts[0])?;
+        setups.push(setup);
+        Server::close(again);
+    }
 
     // Outside every timer: each distinct request counted directly, and
     // against an enumeration.
