@@ -17,15 +17,11 @@ pub mod trace;
 
 use reference::Verdict;
 
-/// Set-ups of `pact-serve` before and again after the timed window.
-pub const SETUP_REPS: usize = 5;
-
 /// The quantile of repeated identical work reported as its cost: the
 /// host's contended state (see `README.md`).
 pub const CONTENDED: f64 = 0.9;
 
-/// The per-layer metrics, reported by a traced run.  A metric that does not
-/// apply to a workload reads 0 there.
+/// The per-layer metrics, reported by a traced run of every workload.
 pub const PER_LAYER: [(&str, &str); 23] = [
     ("core.self_ms", "ms"),
     ("core.oracle_calls", "count"),
@@ -83,20 +79,24 @@ pub struct RunReport {
     pub metrics: Vec<Metric>,
     /// The per-layer metrics (traced runs only).
     pub layers: Vec<Metric>,
+    /// The exact work counts of one pass (traced library runs only).
+    pub exact_work: Option<library::ExactWork>,
     /// Diagnostics printed before the result line.
     pub notes: Vec<String>,
 }
 
 impl RunReport {
     /// Summarises a timed phase from the verdict on every operation, the
-    /// latency figures as the workload measures them, the set-up times and
-    /// the peak resident set of the counting process.
+    /// rate of correct answers and the latency figures as the workload
+    /// measures them, the set-up times with the quantile of them reported
+    /// as `setup_s`, and the peak resident set of the counting process.
     pub fn new(
         verdicts: &[Verdict],
         ops_per_s: f64,
         p50_ms: f64,
         tail: measure::Tail,
         setups: &[f64],
+        setup_quantile: f64,
         peak_rss_mb: f64,
     ) -> Self {
         let attempted = verdicts.len();
@@ -105,16 +105,16 @@ impl RunReport {
         let out_of_band = count(Verdict::OutOfBand);
         // An estimate outside the band is allowed with probability δ per
         // count; more misses than that, or any wrong exact count, is not.
+        // A run without a single correct answer measured nothing.
         let delta = pact::CounterConfig::default().delta;
-        let correct = attempted > 0
-            && count(Verdict::Wrong) == 0
-            && out_of_band as f64 <= delta * attempted as f64;
+        let correct =
+            ok > 0 && count(Verdict::Wrong) == 0 && out_of_band as f64 <= delta * attempted as f64;
         RunReport {
             correct,
             attempted,
             failed: attempted - ok,
             metrics: vec![
-                Metric::new("setup_s", measure::quantile(setups, CONTENDED), "s"),
+                Metric::new("setup_s", measure::quantile(setups, setup_quantile), "s"),
                 Metric::new("ops_per_s", ops_per_s, "1/s"),
                 Metric::new("p50_ms", p50_ms, "ms"),
                 Metric::new("tail_ms", tail.value, "ms"),
@@ -122,14 +122,25 @@ impl RunReport {
                 Metric::new("peak_rss_mb", peak_rss_mb, "MiB"),
             ],
             layers: Vec::new(),
-            notes: vec![format!(
-                "tail_ms is p{:.2} over {} samples; verdicts: ok={ok} out_of_band={out_of_band} \
-                 failed={} wrong={}",
-                tail.percentile,
-                tail.samples,
-                count(Verdict::Failed),
-                count(Verdict::Wrong)
-            )],
+            exact_work: None,
+            notes: vec![
+                format!(
+                    "tail_ms is p{:.2} over {} samples; verdicts: ok={ok} \
+                     out_of_band={out_of_band} failed={} wrong={}",
+                    tail.percentile,
+                    tail.samples,
+                    count(Verdict::Failed),
+                    count(Verdict::Wrong)
+                ),
+                format!(
+                    "setup_s is p{:.0} of {} set-ups: p10={:.6} median={:.6} p90={:.6}",
+                    setup_quantile * 100.0,
+                    setups.len(),
+                    measure::quantile(setups, 0.1),
+                    measure::quantile(setups, 0.5),
+                    measure::quantile(setups, 0.9)
+                ),
+            ],
         }
     }
 
@@ -140,12 +151,12 @@ impl RunReport {
             PER_LAYER
                 .iter()
                 .map(|&(name, unit)| {
-                    let value = self
+                    let m = self
                         .layers
                         .iter()
                         .find(|m| m.name == name)
-                        .map_or(0.0, |m| m.value);
-                    metric_json(name, value, unit)
+                        .unwrap_or_else(|| panic!("per-layer metric {name} was not measured"));
+                    metric_json(name, m.value, unit)
                 })
                 .collect()
         } else {

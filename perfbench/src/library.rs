@@ -18,8 +18,8 @@ use pact_ir::logic::Logic;
 
 use crate::measure::{self, HostTicks};
 use crate::reference::{self, Verdict};
-use crate::trace::{traced_factory, CellCounter, OracleTrace, TraceSink};
-use crate::{Metric, RunReport, CONTENDED};
+use crate::trace::{traced_factory, CellCounter, TraceSink};
+use crate::{Metric, RunReport, CONTENDED, PER_LAYER};
 
 /// The six Table I logics, in the paper's row order.
 pub const LOGICS: [Logic; 6] = [
@@ -34,6 +34,11 @@ pub const LOGICS: [Logic; 6] = [
 /// A count that runs longer than this is cancelled and counted as failed.
 /// The slowest count of either pool takes under half a second.
 pub const HANG_GUARD: Duration = Duration::from_secs(30);
+
+/// Set-ups in the batch before the timed phase and in each batch between
+/// two passes.  A set-up takes about a millisecond; a run of tens of
+/// seconds sets up several hundred times.
+const SETUP_BATCH: usize = 20;
 
 /// Outer iterations of every count: enough rounds for a median, few enough
 /// that a pass over the pool stays within a few seconds.
@@ -301,10 +306,40 @@ pub struct ExactWork {
     pub rounds: u64,
 }
 
-impl ExactWork {
-    fn per_pass(trace: &OracleTrace, oracle_calls: u64, cells: &CellCounter, passes: u64) -> Self {
-        let per = |v: u64| v / passes.max(1);
-        ExactWork {
+/// The traced oracle and the cell observer of a traced run.  Both library
+/// workloads and the replay of `serve_window` trace through it.
+#[derive(Default)]
+pub struct Tracer {
+    sink: TraceSink,
+    cells: Arc<CellCounter>,
+}
+
+impl Tracer {
+    /// One session per instance of `pool`, reporting cells and rounds.
+    pub fn sessions(&self, pool: &Pool) -> Vec<Session> {
+        sessions(pool, Some(&self.cells))
+    }
+
+    /// The counts of `pool`, each behind the traced oracle.
+    pub fn ops(&self, pool: &Pool) -> Vec<Op> {
+        let factory = traced_factory(&self.sink);
+        pool.ops
+            .iter()
+            .map(|op| Op {
+                instance: op.instance,
+                config: op.config.clone().with_oracle_factory(factory.clone()),
+            })
+            .collect()
+    }
+
+    /// The exact work of one pass and the per-layer metrics of the counts
+    /// in `passes`.
+    pub fn finish(&self, passes: &Passes) -> (ExactWork, Vec<Metric>) {
+        let trace = self.sink.lock().expect("trace sink").clone();
+        let cells = &self.cells;
+        let oracle_calls: u64 = passes.done.iter().map(|d| d.oracle_calls).sum();
+        let per = |v: u64| v / (passes.pass_seconds.len() as u64).max(1);
+        let work = ExactWork {
             oracle_calls: per(oracle_calls),
             checks: per(trace.checks),
             sat_calls: per(trace.stats.sat_calls),
@@ -314,66 +349,107 @@ impl ExactWork {
             xor_rows: per(trace.xor_rows),
             cells: per(cells.cells.load(Ordering::Relaxed)),
             rounds: per(cells.rounds.load(Ordering::Relaxed)),
-        }
+        };
+
+        let counts = passes.done.len().max(1) as f64;
+        let count_ns: f64 = passes.done.iter().map(|d| d.seconds * 1e9).sum();
+        let per_count = |v: f64| v / counts;
+        let ms_per_count = |ns: f64| per_count(ns) / 1e6;
+        let s = &trace.stats;
+        let per_check = |v: u64| v as f64 / s.checks.max(1) as f64;
+        let layers = vec![
+            Metric::new(
+                "core.self_ms",
+                ms_per_count(count_ns - trace.busy_ns() as f64),
+                "ms",
+            ),
+            Metric::new("core.oracle_calls", per_count(oracle_calls as f64), "count"),
+            Metric::new(
+                "core.cells",
+                per_count(cells.cells.load(Ordering::Relaxed) as f64),
+                "count",
+            ),
+            Metric::new("solver.check_ms", ms_per_count(trace.check_ns as f64), "ms"),
+            Metric::new(
+                "solver.check_us_p50",
+                measure::median(&trace.check_us),
+                "us",
+            ),
+            Metric::new(
+                "solver.sat_share",
+                trace.sat_answers as f64 / trace.checks.max(1) as f64,
+                "ratio",
+            ),
+            Metric::new(
+                "solver.encode_ms",
+                ms_per_count(trace.encode_ns as f64),
+                "ms",
+            ),
+            Metric::new("solver.model_ms", ms_per_count(trace.model_ns as f64), "ms"),
+            Metric::new(
+                "solver.compactions",
+                per_count(s.compactions as f64),
+                "count",
+            ),
+            Metric::new(
+                "solver.cache_hits",
+                per_count(s.preprocess_cache_hits as f64),
+                "count",
+            ),
+            Metric::new("sat.conflicts_per_check", per_check(s.conflicts), "count"),
+            Metric::new("sat.calls_per_check", per_check(s.sat_calls), "count"),
+            Metric::new(
+                "lra.theory_checks",
+                per_count(s.theory_checks as f64),
+                "count",
+            ),
+            Metric::new("lra.lemmas", per_count(s.theory_lemmas as f64), "count"),
+            Metric::new("hash.xor_rows", per_count(trace.xor_rows as f64), "count"),
+        ];
+        (work, layers)
     }
-}
-
-/// Counts one pass of `pool` behind the traced oracle and returns its exact
-/// work counts.
-pub fn traced_pass(pool: &Pool) -> ExactWork {
-    let sink = TraceSink::default();
-    let cells = Arc::new(CellCounter::default());
-    let mut sessions = sessions(pool, Some(&cells));
-    let ops = traced_ops(pool, &sink);
-    let passes = run_passes(&mut sessions, &ops, 0.0, &mut || {});
-    let oracle_calls = passes.done.iter().map(|d| d.oracle_calls).sum();
-    let trace = sink.lock().expect("trace sink").clone();
-    ExactWork::per_pass(
-        &trace,
-        oracle_calls,
-        &cells,
-        passes.pass_seconds.len() as u64,
-    )
-}
-
-fn traced_ops(pool: &Pool, sink: &TraceSink) -> Vec<Op> {
-    let factory = traced_factory(sink);
-    pool.ops
-        .iter()
-        .map(|op| Op {
-            instance: op.instance,
-            config: op.config.clone().with_oracle_factory(factory.clone()),
-        })
-        .collect()
 }
 
 /// Runs a library workload for `seconds` and checks every answer against
 /// an enumeration of the instance.
 pub fn run(kind: Library, seed: u64, seconds: f64, traced: bool) -> RunReport {
-    // Set-up: generate the pool and build its sessions, once before the
-    // timed phase and again between its passes, so the set-ups sample the
-    // same host states as the counts.
+    run_shapes(kind, &kind.shapes(), seed, seconds, traced)
+}
+
+/// [`run`] over a pool of `shapes` only.
+pub fn run_shapes(
+    kind: Library,
+    shapes: &[Shape],
+    seed: u64,
+    seconds: f64,
+    traced: bool,
+) -> RunReport {
+    let tracer = traced.then(Tracer::default);
+    // Set-up: generate the pool and build its sessions.  A batch of
+    // set-ups runs before the timed phase and another between each two
+    // passes, so the set-ups sample the same host states as the counts.
     let setup = || {
         let start = Instant::now();
-        let pool = pool(kind, &kind.shapes(), seed);
-        let sessions = sessions(&pool, None);
+        let pool = pool(kind, shapes, seed);
+        let sessions = match &tracer {
+            Some(tracer) => tracer.sessions(&pool),
+            None => sessions(&pool, None),
+        };
         (start.elapsed().as_secs_f64(), pool, sessions)
     };
+    let batch = |setups: &mut Vec<f64>| setups.extend((0..SETUP_BATCH).map(|_| setup().0));
+    let mut setups = Vec::new();
+    batch(&mut setups);
     let (first, pool, mut sessions) = setup();
-    let mut setups = vec![first];
-
-    let sink = TraceSink::default();
-    let cells = Arc::new(CellCounter::default());
-    let ops = if traced {
-        sessions = self::sessions(&pool, Some(&cells));
-        traced_ops(&pool, &sink)
-    } else {
-        pool.ops.clone()
+    setups.push(first);
+    let ops = match &tracer {
+        Some(tracer) => tracer.ops(&pool),
+        None => pool.ops.clone(),
     };
 
     let host = HostTicks::now();
     let cpu = measure::thread_cpu_seconds();
-    let passes = run_passes(&mut sessions, &ops, seconds, &mut || setups.push(setup().0));
+    let passes = run_passes(&mut sessions, &ops, seconds, &mut || batch(&mut setups));
     let cpu_share = (measure::thread_cpu_seconds() - cpu) / passes.elapsed;
     let steal = HostTicks::now().steal_share_since(&host);
     let peak_rss_mb = measure::peak_rss_mb("self");
@@ -395,7 +471,9 @@ pub fn run(kind: Library, seed: u64, seconds: f64, traced: bool) -> RunReport {
     // holds steady for a minute at a time, or uncontended, at a speed that
     // varies with their load.  A count's cost is taken in the contended
     // state, which every run of tens of seconds reaches: the 90th
-    // percentile of its repetitions.
+    // percentile of its repetitions.  Only correct answers count towards
+    // the rate: every pass counts the whole pool, so the share of correct
+    // answers scales the pool's counts per second.
     let mut repetitions = vec![Vec::new(); pool.ops.len()];
     for d in &passes.done {
         repetitions[d.op].push(d.seconds * 1e3);
@@ -404,14 +482,19 @@ pub fn run(kind: Library, seed: u64, seconds: f64, traced: bool) -> RunReport {
         .iter()
         .map(|r| measure::quantile(r, CONTENDED))
         .collect();
-    let ops_per_s = 1e3 * pool.ops.len() as f64 / cost_ms.iter().sum::<f64>();
-    let wall_ops_per_s = passes.done.len() as f64 / passes.elapsed;
+    let ok = verdicts.iter().filter(|&&v| v == Verdict::Ok).count();
+    let ok_share = ok as f64 / verdicts.len().max(1) as f64;
+    let ops_per_s = ok_share * 1e3 * pool.ops.len() as f64 / cost_ms.iter().sum::<f64>();
+    let wall_ops_per_s = ok as f64 / passes.elapsed;
     let mut report = RunReport::new(
         &verdicts,
         ops_per_s,
         measure::median(&cost_ms),
         measure::tail(&cost_ms),
+        // The set-ups are spread over the run like the counts, and are
+        // taken in the contended state like them.
         &setups,
+        CONTENDED,
         peak_rss_mb,
     );
     report.notes.push(format!(
@@ -420,91 +503,20 @@ pub fn run(kind: Library, seed: u64, seconds: f64, traced: bool) -> RunReport {
         pool.ops.len(),
         passes.pass_seconds
     ));
-    if traced {
-        let trace = sink.lock().expect("trace sink").clone();
-        let oracle_calls: u64 = passes.done.iter().map(|d| d.oracle_calls).sum();
-        let exact_work = ExactWork::per_pass(
-            &trace,
-            oracle_calls,
-            &cells,
-            passes.pass_seconds.len() as u64,
-        );
-        report
-            .notes
-            .push(format!("exact work per pass: {exact_work:?}"));
-        let count_ns: f64 = passes.done.iter().map(|d| d.seconds * 1e9).sum();
-        report.layers = library_layers(
-            &trace,
-            passes.done.len() as f64,
-            count_ns,
-            oracle_calls,
-            &cells,
-            ops_per_s,
-        );
+    if let Some(tracer) = &tracer {
+        let (work, mut layers) = tracer.finish(&passes);
+        layers.push(Metric::new("trace.ops_per_s", ops_per_s, "1/s"));
+        report.notes.push(format!("exact work per pass: {work:?}"));
+        // The service, wire and ir layers are not on a library workload's
+        // path: nothing runs there, and they read 0.
+        report.layers = PER_LAYER
+            .iter()
+            .map(|&(name, unit)| {
+                let measured = layers.iter().find(|m| m.name == name);
+                measured.cloned().unwrap_or(Metric::new(name, 0.0, unit))
+            })
+            .collect();
+        report.exact_work = Some(work);
     }
     report
-}
-
-fn library_layers(
-    trace: &OracleTrace,
-    counts: f64,
-    count_ns: f64,
-    oracle_calls: u64,
-    cells: &CellCounter,
-    ops_per_s: f64,
-) -> Vec<Metric> {
-    let per_count = |v: f64| v / counts.max(1.0);
-    let ms_per_count = |ns: f64| per_count(ns) / 1e6;
-    let per_check = |v: u64| v as f64 / trace.stats.checks.max(1) as f64;
-    let s = &trace.stats;
-    vec![
-        Metric::new(
-            "core.self_ms",
-            ms_per_count(count_ns - trace.busy_ns() as f64),
-            "ms",
-        ),
-        Metric::new("core.oracle_calls", per_count(oracle_calls as f64), "count"),
-        Metric::new(
-            "core.cells",
-            per_count(cells.cells.load(Ordering::Relaxed) as f64),
-            "count",
-        ),
-        Metric::new("solver.check_ms", ms_per_count(trace.check_ns as f64), "ms"),
-        Metric::new(
-            "solver.check_us_p50",
-            measure::median(&trace.check_us),
-            "us",
-        ),
-        Metric::new(
-            "solver.sat_share",
-            trace.sat_answers as f64 / trace.checks.max(1) as f64,
-            "ratio",
-        ),
-        Metric::new(
-            "solver.encode_ms",
-            ms_per_count(trace.encode_ns as f64),
-            "ms",
-        ),
-        Metric::new("solver.model_ms", ms_per_count(trace.model_ns as f64), "ms"),
-        Metric::new(
-            "solver.compactions",
-            per_count(s.compactions as f64),
-            "count",
-        ),
-        Metric::new(
-            "solver.cache_hits",
-            per_count(s.preprocess_cache_hits as f64),
-            "count",
-        ),
-        Metric::new("sat.conflicts_per_check", per_check(s.conflicts), "count"),
-        Metric::new("sat.calls_per_check", per_check(s.sat_calls), "count"),
-        Metric::new(
-            "lra.theory_checks",
-            per_count(s.theory_checks as f64),
-            "count",
-        ),
-        Metric::new("lra.lemmas", per_count(s.theory_lemmas as f64), "count"),
-        Metric::new("hash.xor_rows", per_count(trace.xor_rows as f64), "count"),
-        Metric::new("trace.ops_per_s", ops_per_s, "1/s"),
-    ]
 }

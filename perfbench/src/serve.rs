@@ -6,6 +6,12 @@
 //! one.  Seven in eight are 6-bit counts that finish in the exact regime;
 //! one in eight is an 8-bit `H_xor` count in the hashing regime, so
 //! size-aware placement has mixed sizes to place.
+//!
+//! The solver, SAT, LRA and hash layers run inside `pact-serve`, out of the
+//! benchmark's reach.  A traced run measures them by replaying one cycle of
+//! the window's request mix in process, through the same traced oracle as
+//! the library workloads: the service's answers are bit-identical to these
+//! direct counts, so the replay does the server's solver work.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
@@ -15,16 +21,16 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pact::{CountOutcome, Session};
+use pact::{CountOutcome, CounterConfig, Session};
 use pact_benchgen::{generate_for_logic, GenParams, Instance};
 use pact_ir::logic::Logic;
 use pact_ir::TermManager;
 use pact_service::CountRequest;
 
-use crate::library::{mix, HANG_GUARD, LOGICS};
+use crate::library::{self, mix, Op, Pool, Tracer, HANG_GUARD, LOGICS};
 use crate::measure::{self, HostTicks};
 use crate::reference::{self, Verdict};
-use crate::{Metric, RunReport, SETUP_REPS};
+use crate::{Metric, RunReport};
 
 /// Requests the client keeps in flight on its one connection.
 pub const OUTSTANDING: usize = 32;
@@ -40,17 +46,20 @@ const SLICE_SECONDS: f64 = 10.0;
 /// its p99.
 const TAIL_BLOCK: usize = 1000;
 
+/// Spawns of `pact-serve` timed before the window, and again after it.
+const SPAWNS: usize = 100;
+
 /// Outer iterations of every count, as in the library workloads.
 const ITERATIONS: u32 = 3;
 
 /// One distinct request of the pool.
 struct Script {
-    /// The generated instance.
-    instance: Instance,
+    /// The instance as `pact-serve` parses it from the request.
+    parsed: Instance,
     /// The instance as SMT-LIB: the part the wire hands to the ir parser.
     body: String,
-    /// The counter seed the request sets.
-    seed: u64,
+    /// The configuration `pact-serve` counts the request under.
+    config: CounterConfig,
     /// The whole request as written to the pipe.
     text: String,
 }
@@ -79,7 +88,7 @@ fn scripts(seed: u64) -> (Vec<Script>, usize) {
 }
 
 fn script(logic: Logic, width: u32, scale: u32, draw: u64) -> Script {
-    let instance = generate_for_logic(
+    let generated = generate_for_logic(
         logic,
         &GenParams {
             scale,
@@ -87,15 +96,26 @@ fn script(logic: Logic, width: u32, scale: u32, draw: u64) -> Script {
             seed: draw % 1_000_000,
         },
     );
-    let body = instance.to_smtlib();
+    let body = generated.to_smtlib();
     let seed = draw >> 40;
     let text = format!(
         "(reset)\n(set-option :seed {seed})\n(set-option :iterations {ITERATIONS})\n{body}(count)\n"
     );
+    let mut tm = TermManager::new();
+    let script = pact_ir::parser::parse_script(&mut tm, &body).expect("generated script parses");
+    let config = CountRequest::new(TermManager::new())
+        .seed(seed)
+        .iterations(ITERATIONS)
+        .counter_config();
     Script {
-        instance,
+        parsed: Instance {
+            tm,
+            asserts: script.asserts,
+            projection: script.projection,
+            ..generated
+        },
         body,
-        seed,
+        config,
         text,
     }
 }
@@ -261,9 +281,10 @@ pub fn run(bin: &Path, seed: u64, seconds: f64, traced: bool) -> io::Result<RunR
     let (scripts, exact_len) = scripts(seed);
     let total = scripts.len();
 
+    // Set-up: a batch of spawns before the window and another after it.
     let mut setups = Vec::new();
     let mut server = None;
-    for _ in 0..SETUP_REPS {
+    for _ in 0..SPAWNS {
         if let Some(previous) = server.take() {
             Server::close(previous);
         }
@@ -271,7 +292,7 @@ pub fn run(bin: &Path, seed: u64, seconds: f64, traced: bool) -> io::Result<RunR
         setups.push(setup);
         server = Some(started);
     }
-    let mut server = server.expect("SETUP_REPS > 0");
+    let mut server = server.expect("SPAWNS > 0");
     let pid = server.child.id();
 
     // The timed window: a closed loop with OUTSTANDING requests in flight.
@@ -337,7 +358,7 @@ pub fn run(bin: &Path, seed: u64, seconds: f64, traced: bool) -> io::Result<RunR
     let steal = HostTicks::now().steal_share_since(&host);
     let peak_rss_mb = measure::peak_rss_mb(&pid.to_string());
     Server::close(server);
-    for _ in 0..SETUP_REPS {
+    for _ in 0..SPAWNS {
         let (again, setup) = start_server(bin, &scripts[0])?;
         setups.push(setup);
         Server::close(again);
@@ -363,19 +384,21 @@ pub fn run(bin: &Path, seed: u64, seconds: f64, traced: bool) -> io::Result<RunR
                 return Verdict::Wrong;
             }
             let exact = *exact[r.script]
-                .get_or_insert_with(|| reference::exact_count(&scripts[r.script].instance));
+                .get_or_insert_with(|| reference::exact_count(&scripts[r.script].parsed));
             Verdict::judge(
                 &Ok(outcome.clone()),
                 exact,
-                pact::CounterConfig::default().epsilon,
+                scripts[r.script].config.epsilon,
             )
         })
         .collect();
 
+    // Only correct answers count towards the figures.
     let answered: Vec<(&Request, Instant, &WireResult)> = requests
         .iter()
-        .filter_map(|r| match &r.answer {
-            Some((at, Some(wire))) => Some((r, *at, wire)),
+        .zip(&verdicts)
+        .filter_map(|(r, &verdict)| match &r.answer {
+            Some((at, Some(wire))) if verdict == Verdict::Ok => Some((r, *at, wire)),
             _ => None,
         })
         .collect();
@@ -414,18 +437,30 @@ pub fn run(bin: &Path, seed: u64, seconds: f64, traced: bool) -> io::Result<RunR
         ops_per_s,
         measure::median(&latencies),
         measure::blocked_tail(&latencies, TAIL_BLOCK),
+        // The spawns come in two bursts, before and after the window, so
+        // they cannot sample the run's host states; the high quantile of a
+        // burst is its few slowest process starts, and the median is
+        // steadier.
         &setups,
+        0.5,
         peak_rss_mb,
     );
+    let mut per_second = vec![0usize; seconds.ceil().max(1.0) as usize];
+    for &(_, at, _) in &answered {
+        let k = at.duration_since(start).as_secs_f64() as usize;
+        if let Some(n) = per_second.get_mut(k) {
+            *n += 1;
+        }
+    }
     report.notes.push(format!(
-        "noise: steal_share={steal:.4} server_cpu/wall={cpu_share:.4} requests={}",
+        "noise: steal_share={steal:.4} server_cpu/wall={cpu_share:.4} requests={} \
+         answers_per_s={per_second:?}",
         requests.len()
     ));
     if traced {
         let values = |f: fn(&WireResult) -> f64| -> Vec<f64> {
             answered.iter().map(|&(_, _, w)| f(w)).collect()
         };
-        let mean = |f| values(f).iter().sum::<f64>() / answered.len().max(1) as f64;
         let shards = answered
             .iter()
             .map(|&(_, _, w)| w.shard)
@@ -445,13 +480,8 @@ pub fn run(bin: &Path, seed: u64, seconds: f64, traced: bool) -> io::Result<RunR
             .map(|&(r, at, w)| latency_ms(r, at) - (w.queue_seconds + w.wall_seconds) * 1e3)
             .collect();
         let parse_us = parse_us_per_request(&scripts, &requests);
-        report.layers = vec![
-            Metric::new(
-                "core.oracle_calls",
-                mean(|w| w.oracle_calls as f64),
-                "count",
-            ),
-            Metric::new("core.cells", mean(|w| w.cells as f64), "count"),
+        let mut layers = replay_layers(&scripts, exact_len);
+        layers.extend([
             Metric::new(
                 "service.queue_ms_p50",
                 measure::median(&values(|w| w.queue_seconds * 1e3)),
@@ -481,25 +511,19 @@ pub fn run(bin: &Path, seed: u64, seconds: f64, traced: bool) -> io::Result<RunR
             ),
             Metric::new("ir.parse_us", parse_us, "us"),
             Metric::new("trace.ops_per_s", ops_per_s, "1/s"),
-        ];
+        ]);
+        report.layers = layers;
     }
     Ok(report)
 }
 
 /// The direct single-threaded count the service promises to match.
 fn direct_count(script: &Script) -> (CountOutcome, WireResult) {
-    let mut tm = TermManager::new();
-    let parsed =
-        pact_ir::parser::parse_script(&mut tm, &script.body).expect("generated script parses");
-    let request = CountRequest::from_snapshot(tm.snapshot())
+    let parsed = &script.parsed;
+    let report = Session::builder(parsed.tm.clone())
         .assert_all(&parsed.asserts)
         .project_all(&parsed.projection)
-        .seed(script.seed)
-        .iterations(ITERATIONS);
-    let report = Session::builder(tm)
-        .assert_all(&parsed.asserts)
-        .project_all(&parsed.projection)
-        .config(request.counter_config())
+        .config(script.config.clone())
         .build()
         .and_then(|mut session| session.count())
         .expect("direct count of a generated script");
@@ -520,6 +544,38 @@ fn direct_count(script: &Script) -> (CountOutcome, WireResult) {
         wall_seconds: 0.0,
     };
     (report.outcome, expected)
+}
+
+/// The per-layer metrics of the solver, SAT, LRA, hash and core layers:
+/// one cycle of the window's request mix (every script as often as the
+/// window sends it) counted in process behind the traced oracle.
+fn replay_layers(scripts: &[Script], exact: usize) -> Vec<Metric> {
+    let hashing = scripts.len() - exact;
+    let gcd = |mut a: usize, mut b: usize| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    // Seven in eight requests cycle over the exact scripts and one in
+    // eight over the hashing ones; both cycles close after this many.
+    let cycle = HASHING_EVERY * exact * hashing / gcd(exact, hashing);
+    let pool = Pool {
+        instances: scripts.iter().map(|s| s.parsed.clone()).collect(),
+        ops: (0..cycle)
+            .map(|j| {
+                let script = pick(j, exact, scripts.len());
+                Op {
+                    instance: script,
+                    config: scripts[script].config.clone(),
+                }
+            })
+            .collect(),
+    };
+    let tracer = Tracer::default();
+    let mut sessions = tracer.sessions(&pool);
+    let passes = library::run_passes(&mut sessions, &tracer.ops(&pool), 0.0, &mut || {});
+    tracer.finish(&passes).1
 }
 
 /// Whether a wire answer is bit-identical to the direct count.
